@@ -7,7 +7,7 @@ from .data import Dataset, IngestError, ingest_csv, separate_environments, stand
 from .env import EnvConfig, Observation, StepResult, TradingEnv, cumulative_log_return, discretize_action, run_episode
 from .replay import NotReadyError, ReplayBuffer, Segment, Transition
 from .tabular import PolicyTable, TabularMDP, exact_q, tabular_retrace_iterate
-from .traces import SegmentEval, TraceKind, TraceSpec, is_conservative, mixed_target_density, retrace_target, soft_td_error, trace_coefficient
+from .traces import TraceKind, TraceSpec, is_conservative, mixed_target_density, retrace_target, soft_td_error, trace_coefficient
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "PolicyTable",
     "ReplayBuffer",
     "Segment",
-    "SegmentEval",
     "StepResult",
     "TabularMDP",
     "TraceKind",

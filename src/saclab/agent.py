@@ -12,7 +12,6 @@ code, so the baseline and the multi-step variants share every component.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from . import nets
 from .env import EnvConfig, Observation, TradingEnv, cumulative_log_return, run_episode
 from .nets import LSTM, Dense, adam_step, squashed_gaussian, squashed_gaussian_grads, squashed_gaussian_log_density
 from .replay import ReplayBuffer, Transition
-from .traces import SegmentEval, TraceSpec, retrace_target, trace_coefficient_from_log
+from .traces import TraceSpec, retrace_target, soft_td_error, trace_coefficient_from_log
 
 
 @dataclass(frozen=True)
@@ -302,28 +301,23 @@ class TraceSacAgent:
         """
         h_max = self.env_config.h_max
         spec = self.config.trace
-        all_obs = []
-        seg_meta = []
-        for seg in segments:
-            start = len(all_obs)
-            all_obs.extend(seg.observations)
-            seg_meta.append((start, len(seg)))
-        windows, scalars = self.featurizer.features(all_obs)
-        total = len(all_obs)
+        lengths = np.array([len(seg) for seg in segments])
+        # row b of the (B, K) grid holds segment b's steps; seg_id and pos
+        # index its live cells in row-major order, matching the flat arrays
+        live = np.arange(lengths.max()) < lengths[:, None]
+        seg_id, pos = np.nonzero(live)
+        # segment b's states s_0..s_k occupy k + 1 rows, one more than its steps
+        stored_idx = np.arange(len(seg_id)) + seg_id
+        next_idx = stored_idx + 1
+        windows, scalars = self.featurizer.features(
+            [obs for seg in segments for obs in seg.observations]
+        )
 
         mean, log_std, _ = self.actor.forward(windows, scalars)
         mean = np.asarray(mean, dtype=np.float64)
         log_std = np.asarray(log_std, dtype=np.float64)
-        eps = rng.standard_normal(total)
+        eps = rng.standard_normal(len(windows))
         fresh_action, fresh_logp, _ = squashed_gaussian(mean, log_std, eps, h_max)
-
-        # stored-action rows (positions 0..K-1) and bootstrap rows (1..K)
-        stored_idx = np.concatenate(
-            [np.arange(start, start + k) for start, k in seg_meta]
-        )
-        next_idx = np.concatenate(
-            [np.arange(start + 1, start + k + 1) for start, k in seg_meta]
-        )
         stored_actions = np.concatenate([seg.actions for seg in segments])
 
         enc1, _ = self.target_critic_1.encode(windows)
@@ -342,33 +336,31 @@ class TraceSacAgent:
         q_stored = np.minimum(q_stored_1, q_stored_2).astype(np.float64)
         q_fresh = np.minimum(q_fresh_1, q_fresh_2).astype(np.float64)
 
-        stored_logp = squashed_gaussian_log_density(
-            stored_actions, mean[stored_idx], log_std[stored_idx], h_max
+        not_done = 1.0 - np.concatenate([seg.dones for seg in segments]).astype(np.float64)
+        delta = soft_td_error(
+            np.concatenate([seg.rewards for seg in segments]),
+            not_done * q_fresh,
+            not_done * fresh_logp[next_idx],
+            q_stored,
+            spec.gamma,
+            spec.alpha_ent,
         )
-
-        targets = np.empty(len(segments), dtype=np.float64)
-        flat = 0
-        for i, (seg, (start, k)) in enumerate(zip(segments, seg_meta)):
-            sl = slice(flat, flat + k)
-            flat += k
-            not_done = 1.0 - seg.dones.astype(np.float64)
-            boot = not_done * (q_fresh[sl] - spec.alpha_ent * fresh_logp[next_idx[sl]])
-            delta = seg.rewards + spec.gamma * boot - q_stored[sl]
-            log_pi = stored_logp[sl]
-            log_mu = seg.behavior_log_densities
-            coeffs = np.ones(k, dtype=np.float64)
-            if k > 1:
-                coeffs[1:] = trace_coefficient_from_log(
-                    spec.kind, log_pi[1:], log_mu[1:], spec.lam
-                )
-            target = retrace_target(
-                SegmentEval(log_pi=log_pi, log_mu=log_mu, td_errors=delta, coeffs=coeffs),
-                float(q_stored[sl][0]),
-                spec,
-            )
-            if not math.isfinite(target):
-                raise FloatingPointError(f"non-finite retrace target for segment {i}")
-            targets[i] = target
+        # coefficients only enter products from step 1 on; step 0 is never scored
+        later = pos >= 1
+        log_mu = np.concatenate([seg.behavior_log_densities for seg in segments])
+        log_pi = squashed_gaussian_log_density(
+            stored_actions[later], mean[stored_idx[later]], log_std[stored_idx[later]], h_max
+        )
+        coeff_grid = np.ones(live.shape)
+        coeff_grid[seg_id[later], pos[later]] = trace_coefficient_from_log(
+            spec.kind, log_pi, log_mu[later], spec.lam
+        )
+        td_grid = np.zeros(live.shape)
+        td_grid[live] = delta
+        targets = retrace_target(q_stored[pos == 0], td_grid, coeff_grid, lengths, spec)
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if bad.size:
+            raise FloatingPointError(f"non-finite retrace target for segment {bad[0]}")
         return targets
 
     # -- updates --------------------------------------------------------------------

@@ -27,7 +27,7 @@ def _cmd_ingest(args) -> int:
     except (IngestError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    span_min = (int(data.timestamps[-1]) - int(data.timestamps[0])) // 60
+    span_min = int(data.timestamps[-1]) - int(data.timestamps[0])
     print(f"{args.data}: {len(data)} bars, {data.n_features} features, spanning {span_min} minutes")
     if args.out:
         write_csv(data, args.out)

@@ -21,16 +21,6 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class MarketBar:
-    """One minute snapshot: quote pair plus the engineered feature vector."""
-
-    timestamp: int
-    bid: float
-    ask: float
-    features: np.ndarray
-
-
-@dataclass(frozen=True)
 class CsvSchema:
     """Expected column layout; n_features = None means infer from the header."""
 
@@ -41,7 +31,7 @@ class Dataset:
     """Immutable column store of minute bars.
 
     Internally arrays (timestamps int64, bids/asks float64, features
-    (N, F) float64); ``bar(i)`` materializes a single :class:`MarketBar`.
+    (N, F) float64).
     """
 
     def __init__(
@@ -95,18 +85,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def bar(self, i: int) -> MarketBar:
-        return MarketBar(
-            timestamp=int(self.timestamps[i]),
-            bid=float(self.bids[i]),
-            ask=float(self.asks[i]),
-            features=self.features[i],
-        )
-
-    @property
-    def bars(self) -> list[MarketBar]:
-        return [self.bar(i) for i in range(len(self))]
 
     def mid(self, i: int) -> float:
         return 0.5 * (float(self.bids[i]) + float(self.asks[i]))

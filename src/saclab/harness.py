@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig
 from .data import Dataset, ingest_csv, separate_environments, standardize, synthesize_market
 from .env import EnvConfig, TradingEnv, cumulative_log_return, run_episode
 from .nets import LSTM, Dense, ParamBlock, gradient_check, squashed_gaussian, squashed_gaussian_grads, squashed_gaussian_log_density
-from .traces import SegmentEval, TraceKind, TraceSpec, is_conservative, retrace_target, trace_coefficient
+from .traces import CONSERVATIVE_KINDS, TraceKind, TraceSpec, is_conservative, retrace_target, soft_td_error, trace_coefficient
 
 
 @dataclass(frozen=True)
@@ -261,64 +261,70 @@ class CheckResult:
     detail: str
 
 
-def _check_tabular_convergence() -> CheckResult:
-    rng = np.random.default_rng(5)
+def _check_tabular_convergence(mdps: int = 5, seed: int = 5) -> CheckResult:
+    """Every conservative kind at lam = 1 converges to Q^pi on random MDPs."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(5):
+    for _ in range(mdps):
         mdp = tabular.random_mdp(5, 3, 0.9, rng)
         behavior = tabular.random_policy(5, 3, rng, min_prob=0.05)
         target = tabular.random_policy(5, 3, rng, min_prob=0.05)
         q_star = tabular.exact_q(mdp, target)
-        for kind in (TraceKind.RETRACE, TraceKind.IMPORTANCE_SAMPLING, TraceKind.TREE_BACKUP):
+        for kind in CONSERVATIVE_KINDS:
             spec = TraceSpec(kind=kind, lam=1.0, n=0, gamma=0.9)
             result = tabular.tabular_retrace_iterate(mdp, behavior, target, spec,
                                                      truncation_T=50, iterations=1000)
             err = float(np.max(np.abs(result.iterates[-1] - q_star)))
-            worst = max(worst, err)
-            if result.diverged or err > 1e-6:
-                return CheckResult("tabular_retrace_convergence", False,
-                                   f"{kind.value}: max-norm error {err:.3e}")
-    return CheckResult("tabular_retrace_convergence", True, f"worst max-norm error {worst:.3e}")
+            worst = max(worst, np.inf if result.diverged else err)
+    return CheckResult("tabular_retrace_convergence", worst < 1e-6,
+                       f"{mdps} MDPs x 3 conservative kinds, worst max-norm error {worst:.3e}")
 
 
-def _check_single_step_reduction() -> CheckResult:
-    rng = np.random.default_rng(6)
+def _check_single_step_reduction(segments: int = 200, seed: int = 6) -> CheckResult:
+    """lam = 0 collapses every kind, horizon and length to the single-step
+    soft backup q0 + delta_0 = r + gamma * (q_next - alpha * log pi_next)."""
+    rng = np.random.default_rng(seed)
+    gamma, alpha = 0.95, 0.1
+    lengths = rng.integers(1, 6, segments)
+    r, q_next, q0 = rng.normal(0.0, 1.0, (3, segments))
+    logp_next = rng.normal(-1.0, 0.5, segments)
+    delta = rng.normal(0.0, 1.0, (segments, 5))
+    delta[:, 0] = soft_td_error(r, q_next, logp_next, q0, gamma, alpha)
+    coeffs = rng.uniform(0.0, 2.0, (segments, 5))
+    expected = r + gamma * (q_next - alpha * logp_next)
     worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 6))
-        log_pi = rng.normal(-1.0, 0.5, k)
-        log_mu = rng.normal(-1.0, 0.5, k)
-        delta = rng.normal(0.0, 1.0, k)
-        q0 = float(rng.normal())
-        for kind in TraceKind:
-            spec = TraceSpec(kind=kind, lam=0.0, n=k - 1, gamma=0.9)
-            coeffs = np.ones(k)
-            ev = SegmentEval(log_pi=log_pi, log_mu=log_mu, td_errors=delta, coeffs=coeffs)
-            got = retrace_target(ev, q0, spec)
-            worst = max(worst, abs(got - (q0 + delta[0])))
-    ok = worst < 1e-12
-    return CheckResult("single_step_reduction", ok, f"worst |target - (q0 + delta_0)| = {worst:.3e}")
+    for kind in TraceKind:
+        for n in range(5):
+            spec = TraceSpec(kind=kind, lam=0.0, n=n, gamma=gamma, alpha_ent=alpha)
+            got = retrace_target(q0, delta, coeffs, lengths, spec)
+            worst = max(worst, float(np.max(np.abs(got - expected))),
+                        float(np.max(np.abs(got - (q0 + delta[:, 0])))))
+    return CheckResult("single_step_reduction", worst < 1e-12,
+                       f"{segments} segments x 5 kinds, worst deviation {worst:.3e}")
 
 
-def _check_trace_table() -> CheckResult:
-    rng = np.random.default_rng(7)
-    pi = rng.uniform(1e-6, 1.0, 2000)
-    mu = rng.uniform(1e-6, 1.0, 2000)
-    lam = 0.8
-    checks = [
-        np.allclose(trace_coefficient(TraceKind.RETRACE, pi, mu, lam), np.minimum(1.0, pi / mu), rtol=0, atol=0),
-        np.allclose(trace_coefficient(TraceKind.IMPORTANCE_SAMPLING, pi, mu, lam), pi / mu, rtol=0, atol=0),
-        np.allclose(trace_coefficient(TraceKind.TREE_BACKUP, pi, mu, lam), np.minimum(1.0, pi), rtol=0, atol=0),
-        np.all(trace_coefficient(TraceKind.PENG_Q, pi, mu, lam) == 1.0),
-        np.all(trace_coefficient(TraceKind.UNCORRECTED, pi, mu, lam) == 1.0),
-        bool(np.all(is_conservative(TraceKind.RETRACE, pi, mu, lam))),
-        bool(np.all(is_conservative(TraceKind.IMPORTANCE_SAMPLING, pi, mu, lam))),
-        bool(np.all(is_conservative(TraceKind.TREE_BACKUP, pi, mu, lam))),
-        not bool(np.all(is_conservative(TraceKind.PENG_Q, pi, mu, lam))),
-        not bool(np.all(is_conservative(TraceKind.UNCORRECTED, pi, mu, lam))),
-    ]
-    ok = all(checks)
-    return CheckResult("trace_coefficient_table", ok, f"{sum(checks)}/10 sub-checks passed")
+def _check_trace_table(pairs: int = 2000, seed: int = 7) -> CheckResult:
+    """Coefficients match their formulas exactly, and exactly the kinds in
+    CONSERVATIVE_KINDS keep c within [0, pi/mu]."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(1e-6, 1.0, pairs)
+    mu = rng.uniform(1e-6, 1.0, pairs)
+    lam = 0.9
+    expected = {
+        TraceKind.RETRACE: np.minimum(1.0, pi / mu),
+        TraceKind.IMPORTANCE_SAMPLING: pi / mu,
+        TraceKind.TREE_BACKUP: np.minimum(1.0, pi),
+        TraceKind.PENG_Q: np.ones_like(pi),
+        TraceKind.UNCORRECTED: np.ones_like(pi),
+    }
+    exact = all(np.array_equal(trace_coefficient(k, pi, mu, lam), c) for k, c in expected.items())
+    conservative_ok = all(
+        bool(np.all(is_conservative(k, pi, mu, lam))) == (k in CONSERVATIVE_KINDS)
+        for k in TraceKind
+    )
+    return CheckResult("trace_coefficient_table", exact and conservative_ok,
+                       f"{pairs} density pairs, coefficients exact={exact}, "
+                       f"conservative flags correct={conservative_ok}")
 
 
 def _check_dense_gradient() -> CheckResult:

@@ -123,19 +123,6 @@ class Dense:
         return dx, dW, db
 
 
-def dense_forward_backward(layer: Dense, x: np.ndarray, upstream: np.ndarray | None = None):
-    """Single-call forward (and backward when upstream is given).
-
-    Returns (output, input_grad, {"W": dW, "b": db}); the gradient entries are
-    None on a forward-only call.  Gradients are also accumulated in the layer.
-    """
-    out, cache = layer.forward(x)
-    if upstream is None:
-        return out, None, None
-    dx, dW, db = layer.backward(cache, upstream)
-    return out, dx, {"W": dW, "b": db}
-
-
 # -- LSTM --------------------------------------------------------------------------
 
 
@@ -246,25 +233,7 @@ class LSTM:
         return dxs, dW, db
 
 
-def lstm_forward_backward(cell: LSTM, xs: np.ndarray, h0=None, c0=None,
-                          upstream: np.ndarray | None = None):
-    """Single-call forward (and full-BPTT backward when upstream is given)."""
-    hs, cache = cell.forward(xs, h0, c0)
-    if upstream is None:
-        return hs, None, None
-    dxs, dW, db = cell.backward(cache, upstream)
-    return hs, dxs, {"W": dW, "b": db}
-
-
 # -- squashed Gaussian policy head ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianPolicyOutput:
-    mean: float
-    log_std: float
-    action: float
-    log_density: float
 
 
 def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
@@ -336,18 +305,6 @@ def squashed_gaussian_log_density(action, mean, log_std, h_max: float):
         - 0.5 * math.log(2.0 * math.pi)
         - math.log(h_max)
         - _log1m_tanh_sq(u)
-    )
-
-
-def sample_squashed_gaussian(mean: float, log_std: float, noise: float,
-                             h_max: float) -> GaussianPolicyOutput:
-    """Scalar convenience wrapper around squashed_gaussian."""
-    action, log_density, _ = squashed_gaussian(mean, log_std, noise, h_max)
-    return GaussianPolicyOutput(
-        mean=float(mean),
-        log_std=float(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)),
-        action=float(action),
-        log_density=float(log_density),
     )
 
 

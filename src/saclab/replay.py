@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .env import Observation
 
 DEFAULT_CAPACITY = 100_000
 DEFAULT_WARMUP = 1_000
-
-SNAPSHOT_VERSION = 1
 
 
 class NotReadyError(RuntimeError):
@@ -157,69 +154,3 @@ class ReplayBuffer:
             raise ValueError("batch must be >= 1")
         starts = rng.integers(0, len(self), size=batch)
         return [self.segment_at(int(s), n) for s in starts]
-
-    # -- snapshot ----------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write buffer contents (logical order) to a .npz snapshot."""
-        size = len(self)
-        if size == 0:
-            raise ValueError("refusing to snapshot an empty buffer")
-        trans = [self._store[self._physical(i)] for i in range(size)]
-        ids = np.array([self._episode_ids[self._physical(i)] for i in range(size)], dtype=np.int64)
-        np.savez(
-            Path(path),
-            version=np.int64(SNAPSHOT_VERSION),
-            capacity=np.int64(self.capacity),
-            warmup=np.int64(self.warmup),
-            push_count=np.int64(self.push_count),
-            current_episode=np.int64(self._current_episode),
-            episode_ids=ids,
-            windows=np.stack([t.obs.window for t in trans]),
-            balances=np.array([t.obs.balance for t in trans], dtype=np.float64),
-            holdings=np.array([t.obs.holdings for t in trans], dtype=np.float64),
-            next_windows=np.stack([t.next_obs.window for t in trans]),
-            next_balances=np.array([t.next_obs.balance for t in trans], dtype=np.float64),
-            next_holdings=np.array([t.next_obs.holdings for t in trans], dtype=np.float64),
-            actions=np.array([t.action for t in trans], dtype=np.float64),
-            rewards=np.array([t.reward for t in trans], dtype=np.float64),
-            behavior_log_densities=np.array(
-                [t.behavior_log_density for t in trans], dtype=np.float64
-            ),
-            dones=np.array([t.done for t in trans], dtype=bool),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ReplayBuffer":
-        with np.load(Path(path)) as z:
-            version = int(z["version"])
-            if version != SNAPSHOT_VERSION:
-                raise ValueError(f"unsupported snapshot version {version}")
-            buf = cls(capacity=int(z["capacity"]), warmup=int(z["warmup"]))
-            ids = z["episode_ids"]
-            n = len(ids)
-            for i in range(n):
-                obs = Observation(
-                    balance=float(z["balances"][i]),
-                    holdings=float(z["holdings"][i]),
-                    window=z["windows"][i].copy(),
-                )
-                next_obs = Observation(
-                    balance=float(z["next_balances"][i]),
-                    holdings=float(z["next_holdings"][i]),
-                    window=z["next_windows"][i].copy(),
-                )
-                buf._store[i] = Transition(
-                    obs=obs,
-                    action=float(z["actions"][i]),
-                    reward=float(z["rewards"][i]),
-                    next_obs=next_obs,
-                    behavior_log_density=float(z["behavior_log_densities"][i]),
-                    done=bool(z["dones"][i]),
-                )
-                buf._episode_ids[i] = ids[i]
-            buf._pos = n % buf.capacity
-            buf._full = n == buf.capacity
-            buf._current_episode = int(z["current_episode"])
-            buf.push_count = int(z["push_count"])
-        return buf

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traces import TraceKind, TraceSpec
+from .traces import TraceKind, TraceSpec, trace_coefficient
 
 _ROW_SUM_TOL = 1e-12
 _DIVERGENCE_NORM = 1e6
@@ -109,23 +109,6 @@ def exact_q(mdp: TabularMDP, policy: PolicyTable) -> np.ndarray:
     return q_flat.reshape(mdp.n_states, mdp.n_actions)
 
 
-def _coefficient_table(kind: TraceKind, behavior: PolicyTable, target: PolicyTable) -> np.ndarray:
-    """Elementwise c(s, a) from the policy tables (lam applies separately)."""
-    mu = behavior.probs
-    pi = target.probs
-    if np.any(mu <= 0.0):
-        raise ValueError("behavior policy must have full support for trace ratios")
-    if kind is TraceKind.RETRACE:
-        return np.minimum(1.0, pi / mu)
-    if kind is TraceKind.IMPORTANCE_SAMPLING:
-        return pi / mu
-    if kind is TraceKind.TREE_BACKUP:
-        return np.minimum(1.0, pi)
-    if kind in (TraceKind.PENG_Q, TraceKind.UNCORRECTED):
-        return np.ones_like(pi)
-    raise ValueError(f"unknown trace kind {kind}")  # pragma: no cover
-
-
 def _bootstrap_policy(kind: TraceKind, behavior: PolicyTable, target: PolicyTable, lam: float) -> PolicyTable:
     """Policy whose expectation forms the one-step backup inside each TD term.
 
@@ -177,7 +160,9 @@ def tabular_retrace_iterate(
     boot = _bootstrap_policy(spec.kind, behavior, target, lam)
     p_boot = _successor_matrix(mdp, boot)
 
-    c = _coefficient_table(spec.kind, behavior, target)
+    if np.any(behavior.probs <= 0.0):
+        raise ValueError("behavior policy must have full support for trace ratios")
+    c = trace_coefficient(spec.kind, target.probs, behavior.probs, lam)
     weighted = PolicyTable.__new__(PolicyTable)  # mu * c is sub-stochastic, skip row checks
     object.__setattr__(weighted, "probs", behavior.probs * c)
     p_c = _successor_matrix(mdp, weighted)

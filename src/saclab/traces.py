@@ -2,10 +2,13 @@
 
 Conventions used throughout:
 
+* Multi-step targets are batched: per-step quantities of B segments sit in
+  (B, K) arrays, row b holding segment b oldest step first, and
+  ``lengths[b]`` says how many leading entries of that row are real steps.
 * All exponents on ``gamma`` and ``lam`` are relative to the segment start:
   the j-th correction term is weighted by ``(gamma * lam) ** j``.
 * The coefficient product for term j runs over steps 1..j (the empty product
-  for j = 0 is 1), so ``coeffs[0]`` is never used.
+  for j = 0 is 1), so ``coeffs[:, 0]`` is never used.
 * Densities are plain (not log) probability densities unless a function name
   says otherwise.
 """
@@ -64,35 +67,6 @@ class TraceSpec:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.alpha_ent < 0.0:
             raise ValueError(f"alpha_ent must be >= 0, got {self.alpha_ent}")
-
-
-@dataclass
-class SegmentEval:
-    """Per-step quantities for one contiguous segment, oldest step first.
-
-    All arrays share the same length.  ``coeffs[0]`` is conventionally 1 and
-    never enters a product.
-    """
-
-    log_pi: np.ndarray
-    log_mu: np.ndarray
-    td_errors: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        lengths = {len(self.log_pi), len(self.log_mu), len(self.td_errors), len(self.coeffs)}
-        if len(lengths) != 1:
-            raise ValueError(f"SegmentEval arrays must share one length, got {lengths}")
-        if len(self.td_errors) == 0:
-            raise ValueError("SegmentEval requires at least one step")
-        for name in ("log_pi", "log_mu", "td_errors", "coeffs"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in SegmentEval.{name}")
-        if np.any(self.coeffs < 0.0):
-            raise ValueError("trace coefficients must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self.td_errors)
 
 
 def trace_coefficient(kind: TraceKind, pi_density, mu_density, lam: float):
@@ -178,24 +152,24 @@ def soft_td_error(r, q_next, log_pi_next, q_current, gamma: float, alpha_ent: fl
     return out
 
 
-def retrace_target(segment_eval: SegmentEval, q_start: float, spec: TraceSpec) -> float:
-    """Multi-step corrected value target for the segment's first state-action.
+def retrace_target(q_start, td_errors, coeffs, lengths, spec: TraceSpec) -> np.ndarray:
+    """Multi-step corrected value targets, one per segment start: (B,).
 
-    target = q_start + sum_{j=0}^{J} (prod_{u=1}^{j} c_u) * gamma**j * lam**j * delta_j
+    target_b = q_start_b + sum_{j=0}^{J_b} (prod_{u=1}^{j} c_bu) * gamma**j * lam**j * delta_bj
 
-    with J = min(spec.n, len(segment) - 1).  The j = 0 term always
-    contributes delta_0 with unit weight, so lam = 0 or n = 0 reduce the
-    target to the single-step backup q_start + delta_0.
+    with J_b = min(spec.n, lengths_b - 1).  Entries past J_b are selected
+    away, never multiplied by zero, so whatever they hold cannot leak into
+    the target.  The j = 0 term always contributes delta_b0 with unit
+    weight, so lam = 0 or n = 0 reduce the target to q_start + delta_0.
     """
-    delta = np.asarray(segment_eval.td_errors, dtype=np.float64)
-    coeffs = np.asarray(segment_eval.coeffs, dtype=np.float64)
-    j_max = min(spec.n, len(delta) - 1)
-    weights = np.empty(j_max + 1, dtype=np.float64)
-    weights[0] = 1.0
-    if j_max >= 1:
-        weights[1:] = np.cumprod(coeffs[1 : j_max + 1])
-    decay = (spec.gamma * spec.lam) ** np.arange(j_max + 1, dtype=np.float64)
-    return float(q_start + np.sum(weights * decay * delta[: j_max + 1]))
+    delta = np.asarray(td_errors, dtype=np.float64)
+    j = np.arange(delta.shape[1])
+    live = (j < np.asarray(lengths)[:, None]) & (j <= spec.n)
+    in_product = live & (j > 0)
+    weights = np.cumprod(np.where(in_product, np.asarray(coeffs, dtype=np.float64), 1.0), axis=1)
+    decay = (spec.gamma * spec.lam) ** j.astype(np.float64)
+    terms = np.where(live, weights * decay * delta, 0.0)
+    return np.asarray(q_start, dtype=np.float64) + np.sum(terms, axis=1)
 
 
 def is_conservative(kind: TraceKind, pi_density, mu_density, lam: float):

@@ -19,20 +19,7 @@ from saclab.agent import AgentConfig, random_policy_return, train_agent
 from saclab.cli import main
 from saclab.data import separate_environments, synthesize_market
 from saclab.env import EnvConfig, TradingEnv
-from saclab.tabular import exact_q, random_mdp, random_policy, tabular_retrace_iterate
-from saclab.traces import (
-    CONSERVATIVE_KINDS,
-    SegmentEval,
-    TraceKind,
-    TraceSpec,
-    is_conservative,
-    retrace_target,
-    soft_td_error,
-    trace_coefficient,
-)
-
-ALL_KINDS = list(TraceKind)
-
+from saclab.traces import TraceKind, TraceSpec
 
 def _line(num: int, name: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {num} ({name}): {detail}")
@@ -43,24 +30,11 @@ def _line(num: int, name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_tabular_convergence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    kinds = (TraceKind.RETRACE, TraceKind.IMPORTANCE_SAMPLING, TraceKind.TREE_BACKUP)
-    worst = 0.0
-    for _ in range(20):
-        mdp = random_mdp(5, 3, 0.9, rng)
-        behavior = random_policy(5, 3, rng, min_prob=0.05)
-        target = random_policy(5, 3, rng, min_prob=0.05)
-        exact = exact_q(mdp, target)
-        for kind in kinds:
-            spec = TraceSpec(kind=kind, lam=1.0, n=0, gamma=0.9, alpha_ent=0.0)
-            res = tabular_retrace_iterate(mdp, behavior, target, spec, iterations=1000)
-            err = float(np.max(np.abs(res.iterates[-1] - exact)))
-            worst = max(worst, np.inf if res.diverged else err)
+    result = harness._check_tabular_convergence(mdps=20, seed=11)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 5.0
-    _line(1, "tabular convergence", ok,
-          f"20 MDPs x 3 conservative kinds, worst max-norm error {worst:.3e} in {elapsed:.2f}s")
-    assert worst < 1e-6
+    ok = result.passed and elapsed < 5.0
+    _line(1, "tabular convergence", ok, f"{result.detail} in {elapsed:.2f}s")
+    assert result.passed, result.detail
     assert elapsed < 5.0
 
 
@@ -69,31 +43,11 @@ def test_criterion_1_tabular_convergence():
 
 def test_criterion_2_single_step_reduction():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(22)
-    gamma, alpha = 0.95, 0.1
-    worst = 0.0
-    for _ in range(1000):
-        k = int(rng.integers(1, 6))
-        r = float(rng.normal())
-        q_next = float(rng.normal())
-        logp_next = float(rng.normal(-1.0, 0.5))
-        q0 = float(rng.normal())
-        delta0 = soft_td_error(r, q_next, logp_next, q0, gamma, alpha)
-        ev = SegmentEval(
-            log_pi=rng.normal(-1.0, 0.5, k),
-            log_mu=rng.normal(-1.0, 0.5, k),
-            td_errors=np.concatenate([[delta0], rng.normal(0.0, 1.0, k - 1)]),
-            coeffs=np.concatenate([[1.0], rng.uniform(0.0, 2.0, k - 1)]),
-        )
-        expected = r + gamma * (q_next - alpha * logp_next)
-        for kind in ALL_KINDS:
-            spec = TraceSpec(kind=kind, lam=0.0, n=k - 1, gamma=gamma, alpha_ent=alpha)
-            worst = max(worst, abs(retrace_target(ev, q0, spec) - expected))
+    result = harness._check_single_step_reduction(segments=1000, seed=22)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-12 and elapsed < 1.0
-    _line(2, "single-step reduction", ok,
-          f"1000 segments x 5 kinds, worst deviation {worst:.3e} in {elapsed:.2f}s")
-    assert worst < 1e-12
+    ok = result.passed and elapsed < 1.0
+    _line(2, "single-step reduction", ok, f"{result.detail} in {elapsed:.2f}s")
+    assert result.passed, result.detail
     assert elapsed < 1.0
 
 
@@ -102,39 +56,11 @@ def test_criterion_2_single_step_reduction():
 
 def test_criterion_3_trace_coefficient_table():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(33)
-    pi = rng.uniform(1e-6, 1.0, 10_000)
-    mu = rng.uniform(1e-6, 1.0, 10_000)
-    lam = 0.9
-    expected = {
-        TraceKind.RETRACE: np.minimum(1.0, pi / mu),
-        TraceKind.IMPORTANCE_SAMPLING: pi / mu,
-        TraceKind.TREE_BACKUP: np.minimum(1.0, pi),
-        TraceKind.PENG_Q: np.ones_like(pi),
-        TraceKind.UNCORRECTED: np.ones_like(pi),
-    }
-    guaranteed = {
-        TraceKind.RETRACE: True,
-        TraceKind.IMPORTANCE_SAMPLING: True,
-        TraceKind.TREE_BACKUP: True,
-        TraceKind.PENG_Q: False,
-        TraceKind.UNCORRECTED: False,
-    }
-    exact = conservative_ok = True
-    for kind in ALL_KINDS:
-        exact = exact and bool(np.array_equal(trace_coefficient(kind, pi, mu, lam), expected[kind]))
-        flags = is_conservative(kind, pi, mu, lam)
-        if guaranteed[kind]:
-            conservative_ok = conservative_ok and bool(np.all(flags)) and kind in CONSERVATIVE_KINDS
-        else:
-            conservative_ok = conservative_ok and not bool(np.all(flags)) and kind not in CONSERVATIVE_KINDS
+    result = harness._check_trace_table(pairs=10_000, seed=33)
     elapsed = time.perf_counter() - t0
-    ok = exact and conservative_ok and elapsed < 1.0
-    _line(3, "trace coefficient table", ok,
-          f"10000 density pairs, coefficients exact={exact}, "
-          f"conservative flags correct={conservative_ok}, {elapsed:.2f}s")
-    assert exact
-    assert conservative_ok
+    ok = result.passed and elapsed < 1.0
+    _line(3, "trace coefficient table", ok, f"{result.detail}, {elapsed:.2f}s")
+    assert result.passed, result.detail
     assert elapsed < 1.0
 
 

@@ -136,6 +136,13 @@ def test_targets_ignore_online_critics():
     assert np.max(np.abs(moved - base)) > 1e-6
 
 
+def test_non_finite_target_names_the_segment():
+    agent, segments, _ = tiny_agent()
+    agent.target_critic_1.out.b.values[:] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite retrace target for segment 0"):
+        agent.segment_targets(segments, np.random.default_rng(5))
+
+
 def test_targets_depend_on_trace_kind():
     # the buffer is filled by the initial policy, so the actor must move
     # before pi / mu ratios differ from 1 and the kinds can disagree

@@ -281,5 +281,3 @@ def test_dataset_validation():
     d = Dataset(ts, ones, ones, feats)
     assert len(d) == 3
     assert d.mid(0) == 1.0
-    bar = d.bar(1)
-    assert (bar.timestamp, bar.bid, bar.ask) == (1, 1.0, 1.0)

@@ -316,6 +316,7 @@ def test_cli_synth_ingest_round_trip(tmp_path, capsys):
     assert main(["ingest", "--data", str(out_csv)]) == 0
     stdout = capsys.readouterr().out
     assert "30 bars" in stdout
+    assert "spanning 29 minutes" in stdout
     copy = tmp_path / "copy.csv"
     assert main(["ingest", "--data", str(out_csv), "--out", str(copy)]) == 0
     assert copy.read_bytes() == out_csv.read_bytes()

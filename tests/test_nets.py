@@ -15,13 +15,10 @@ from saclab.nets import (
     ParamBlock,
     adam_step,
     clear_faults,
-    dense_forward_backward,
     gradient_check,
     inject_fault,
     load_checkpoint,
     load_into,
-    lstm_forward_backward,
-    sample_squashed_gaussian,
     save_checkpoint,
     squashed_gaussian,
     squashed_gaussian_grads,
@@ -57,7 +54,7 @@ def test_dense_gradient_matches_finite_differences():
         return float(np.sum(out * upstream))
 
     zero_grads(d.blocks)
-    dense_forward_backward(d, x, upstream)
+    d.backward(d.forward(x)[1], upstream)
     report = gradient_check(loss, d.blocks, rng, tolerance=1e-6, step=1e-6)
     assert report.passed, report
 
@@ -67,7 +64,7 @@ def test_dense_input_gradient():
     d = Dense("d", 3, 2, activation="tanh", rng=rng, dtype=np.float64)
     x = rng.normal(size=(2, 3))
     upstream = rng.normal(size=(2, 2))
-    _, dx, _ = dense_forward_backward(d, x, upstream)
+    dx, _, _ = d.backward(d.forward(x)[1], upstream)
     step = 1e-6
     for i in range(2):
         for j in range(3):
@@ -129,7 +126,7 @@ def test_lstm_gradient_matches_finite_differences():
         return float(np.sum(hs * upstream))
 
     zero_grads(lstm.blocks)
-    lstm_forward_backward(lstm, xs, upstream=upstream)
+    lstm.backward(lstm.forward(xs)[1], upstream)
     report = gradient_check(loss, lstm.blocks, rng, tolerance=1e-5, step=1e-6,
                             max_coords_per_block=40)
     assert report.passed, report
@@ -140,7 +137,7 @@ def test_lstm_input_gradient_matches_finite_differences():
     lstm = LSTM("l", 2, 3, rng=rng, dtype=np.float64)
     xs = rng.normal(size=(1, 4, 2))
     upstream = rng.normal(size=(1, 4, 3))
-    _, dxs, _ = lstm_forward_backward(lstm, xs, upstream=upstream)
+    dxs, _, _ = lstm.backward(lstm.forward(xs)[1], upstream)
     step = 1e-6
     for t in range(4):
         for d in range(2):
@@ -222,8 +219,12 @@ def test_log_std_clamp_zeroes_gradient_outside_range():
     a_low, _, _ = squashed_gaussian(0.0, LOG_STD_MIN - 5.0, 0.3, 1.0)
     a_min, _, _ = squashed_gaussian(0.0, LOG_STD_MIN, 0.3, 1.0)
     assert float(a_low) == float(a_min)
-    out = sample_squashed_gaussian(0.0, LOG_STD_MAX + 3.0, 0.1, 1.0)
-    assert out.log_std == LOG_STD_MAX
+    a_high, lp_high, cache = squashed_gaussian(0.0, LOG_STD_MAX + 3.0, 0.1, 1.0)
+    a_max, lp_max, _ = squashed_gaussian(0.0, LOG_STD_MAX, 0.1, 1.0)
+    assert (float(a_high), float(lp_high)) == (float(a_max), float(lp_max))
+    _, da_dls, _, dlp_dls = squashed_gaussian_grads(cache, 1.0)
+    assert float(da_dls) == 0.0
+    assert float(dlp_dls) == 0.0
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -272,7 +273,7 @@ def test_gradient_check_negative_control():
         return float(np.sum(out * upstream))
 
     zero_grads(d.blocks)
-    dense_forward_backward(d, x, upstream)
+    d.backward(d.forward(x)[1], upstream)
     d.W.grad *= 1.1  # corrupt the analytic gradient
     report = gradient_check(loss, d.blocks, rng, tolerance=1e-6, step=1e-6)
     assert not report.passed
@@ -294,7 +295,7 @@ def test_lstm_backward_fault_injection_breaks_gradient():
     try:
         inject_fault("lstm-backward")
         zero_grads(lstm.blocks)
-        lstm_forward_backward(lstm, xs, upstream=upstream)
+        lstm.backward(lstm.forward(xs)[1], upstream)
         report = gradient_check(loss, lstm.blocks, rng, tolerance=1e-6, step=1e-6)
         assert not report.passed
         assert report.worst_block == "l.W"
@@ -302,7 +303,7 @@ def test_lstm_backward_fault_injection_breaks_gradient():
         clear_faults()
     # after clearing, the same pipeline passes again
     zero_grads(lstm.blocks)
-    lstm_forward_backward(lstm, xs, upstream=upstream)
+    lstm.backward(lstm.forward(xs)[1], upstream)
     report = gradient_check(loss, lstm.blocks, rng, tolerance=1e-6, step=1e-6)
     assert report.passed
 

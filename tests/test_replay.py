@@ -1,4 +1,4 @@
-"""Replay ring buffer: eviction order, segment truncation, snapshots."""
+"""Replay ring buffer: eviction order and segment truncation."""
 from __future__ import annotations
 
 import numpy as np
@@ -123,55 +123,6 @@ def test_transition_rejects_non_finite_fields():
         Transition(good.obs, 0.0, 0.0, good.next_obs, float("-inf"), False)
     with pytest.raises(ValueError, match="reward"):
         Transition(good.obs, 0.0, float("nan"), good.next_obs, -1.0, False)
-
-
-def test_snapshot_round_trip_preserves_everything(tmp_path):
-    buf = ReplayBuffer(capacity=8, warmup=2)
-    fill(buf, 11, done_at={3, 7})  # wraps: survivors are logical 3..10
-    path = tmp_path / "buffer.npz"
-    buf.save(path)
-    back = ReplayBuffer.load(path)
-    assert back.capacity == 8
-    assert back.warmup == 2
-    assert back.push_count == 11
-    assert len(back) == len(buf)
-    for i in range(len(buf)):
-        a = buf.segment_at(i, 0).transitions[0]
-        b = back.segment_at(i, 0).transitions[0]
-        assert a.action == b.action
-        assert a.reward == b.reward
-        assert a.behavior_log_density == b.behavior_log_density
-        assert a.done == b.done
-        np.testing.assert_array_equal(a.obs.window, b.obs.window)
-        np.testing.assert_array_equal(a.next_obs.window, b.next_obs.window)
-        assert a.obs.balance == b.obs.balance
-        assert a.next_obs.holdings == b.next_obs.holdings
-    # sampling after reload matches the original stream
-    sa = buf.sample_segments(5, 2, np.random.default_rng(1))
-    sb = back.sample_segments(5, 2, np.random.default_rng(1))
-    assert [s.actions.tolist() for s in sa] == [s.actions.tolist() for s in sb]
-    # new pushes continue the episode numbering
-    back.push(make_transition(99))
-    assert back._episode_ids[back._physical(len(back) - 1)] == buf._current_episode
-
-
-def test_snapshot_rejects_bad_version(tmp_path):
-    buf = ReplayBuffer(capacity=4, warmup=1)
-    fill(buf, 2)
-    path = tmp_path / "buffer.npz"
-    buf.save(path)
-    with np.load(path) as z:
-        payload = {k: z[k] for k in z.files}
-    payload["version"] = np.int64(99)
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="version"):
-        ReplayBuffer.load(path)
-
-
-def test_snapshot_empty_buffer_refused(tmp_path):
-    buf = ReplayBuffer(capacity=4, warmup=1)
-    with pytest.raises(ValueError, match="empty"):
-        buf.save(tmp_path / "nope.npz")
 
 
 def test_constructor_validation():

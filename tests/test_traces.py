@@ -3,7 +3,6 @@ import pytest
 
 from saclab.traces import (
     CONSERVATIVE_KINDS,
-    SegmentEval,
     TraceKind,
     TraceSpec,
     is_conservative,
@@ -75,28 +74,38 @@ def test_soft_td_error_value():
     assert soft_td_error(1.0, 2.0, -0.5, 1.5, 0.9, 0.0) == pytest.approx(1.3, abs=1e-12)
 
 
-def _segment(log_pi, log_mu, deltas, coeffs):
-    return SegmentEval(
-        log_pi=np.asarray(log_pi, dtype=np.float64),
-        log_mu=np.asarray(log_mu, dtype=np.float64),
-        td_errors=np.asarray(deltas, dtype=np.float64),
-        coeffs=np.asarray(coeffs, dtype=np.float64),
-    )
+def _target(deltas, coeffs, q0, spec) -> float:
+    """One segment through the batched kernel."""
+    row = np.asarray(deltas, dtype=np.float64)[None, :]
+    return float(retrace_target(np.array([q0]), row, np.asarray(coeffs, dtype=np.float64)[None, :],
+                                np.array([row.shape[1]]), spec)[0])
+
+
+def _loop_targets(q_start, td_errors, coeffs, lengths, spec) -> np.ndarray:
+    """Plain-loop reference for the batched kernel."""
+    out = []
+    for q0, delta, c, k in zip(q_start, td_errors, coeffs, lengths):
+        total, weight = q0, 1.0
+        for j in range(min(spec.n, k - 1) + 1):
+            if j > 0:
+                weight *= c[j]
+            total += weight * (spec.gamma * spec.lam) ** j * delta[j]
+        out.append(total)
+    return np.array(out)
 
 
 def test_retrace_target_three_step_value():
     spec = TraceSpec(kind=TraceKind.RETRACE, lam=0.5, n=2, gamma=0.9)
-    ev = _segment([0.0] * 3, [0.0] * 3, [0.5, -0.2, 0.3], [1.0, 0.8, 0.6])
     # 1 + 0.5 + 0.45*0.8*(-0.2) + 0.2025*0.48*0.3
-    assert retrace_target(ev, 1.0, spec) == pytest.approx(1.45716, abs=1e-12)
+    assert _target([0.5, -0.2, 0.3], [1.0, 0.8, 0.6], 1.0, spec) == pytest.approx(1.45716, abs=1e-12)
 
 
 def test_retrace_target_truncates_at_horizon():
-    ev = _segment([0.0] * 3, [0.0] * 3, [0.5, -0.2, 0.3], [1.0, 0.8, 0.6])
+    deltas, coeffs = [0.5, -0.2, 0.3], [1.0, 0.8, 0.6]
     spec = TraceSpec(kind=TraceKind.RETRACE, lam=0.5, n=1, gamma=0.9)
-    assert retrace_target(ev, 1.0, spec) == pytest.approx(1.0 + 0.5 + 0.45 * 0.8 * (-0.2), abs=1e-12)
+    assert _target(deltas, coeffs, 1.0, spec) == pytest.approx(1.0 + 0.5 + 0.45 * 0.8 * (-0.2), abs=1e-12)
     spec = TraceSpec(kind=TraceKind.RETRACE, lam=0.5, n=0, gamma=0.9)
-    assert retrace_target(ev, 1.0, spec) == pytest.approx(1.5, abs=1e-12)
+    assert _target(deltas, coeffs, 1.0, spec) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_lambda_zero_reduces_to_single_step_for_every_kind():
@@ -104,30 +113,49 @@ def test_lambda_zero_reduces_to_single_step_for_every_kind():
     worst = 0.0
     for _ in range(200):
         k = int(rng.integers(1, 6))
-        ev = _segment(
-            rng.normal(-1, 0.5, k),
-            rng.normal(-1, 0.5, k),
-            rng.normal(0, 1, k),
-            np.concatenate([[1.0], rng.uniform(0, 2, k - 1)]),
-        )
+        deltas = rng.normal(0, 1, k)
+        coeffs = np.concatenate([[1.0], rng.uniform(0, 2, k - 1)])
         q0 = float(rng.normal())
         for kind in ALL_KINDS:
             spec = TraceSpec(kind=kind, lam=0.0, n=k - 1, gamma=0.95)
-            worst = max(worst, abs(retrace_target(ev, q0, spec) - (q0 + ev.td_errors[0])))
+            worst = max(worst, abs(_target(deltas, coeffs, q0, spec) - (q0 + deltas[0])))
     assert worst < 1e-12
 
 
 def test_retrace_target_linear_in_td_errors():
     rng = np.random.default_rng(3)
     spec = TraceSpec(kind=TraceKind.RETRACE, lam=0.8, n=4, gamma=0.9)
-    base = [0.0] * 5
     coeffs = np.concatenate([[1.0], rng.uniform(0, 1.5, 4)])
     da = rng.normal(0, 1, 5)
     db = rng.normal(0, 1, 5)
-    t_a = retrace_target(_segment(base, base, da, coeffs), 0.0, spec)
-    t_b = retrace_target(_segment(base, base, db, coeffs), 0.0, spec)
-    t_ab = retrace_target(_segment(base, base, da + db, coeffs), 0.0, spec)
+    t_a = _target(da, coeffs, 0.0, spec)
+    t_b = _target(db, coeffs, 0.0, spec)
+    t_ab = _target(da + db, coeffs, 0.0, spec)
     assert t_ab == pytest.approx(t_a + t_b, abs=1e-12)
+
+
+def test_batched_kernel_matches_plain_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        batch, k = int(rng.integers(1, 20)), int(rng.integers(2, 12))
+        lengths = rng.integers(1, k + 1, batch)
+        q0 = rng.normal(0, 1, batch)
+        deltas = rng.normal(0, 1, (batch, k))
+        coeffs = rng.uniform(0, 3, (batch, k))
+        for kind in ALL_KINDS:
+            spec = TraceSpec(kind=kind, lam=float(rng.uniform()), n=int(rng.integers(0, k - 1)),
+                             gamma=0.95)
+            np.testing.assert_allclose(retrace_target(q0, deltas, coeffs, lengths, spec),
+                                       _loop_targets(q0, deltas, coeffs, lengths, spec),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_entries_past_the_segment_never_reach_the_target():
+    spec = TraceSpec(kind=TraceKind.IMPORTANCE_SAMPLING, lam=0.5, n=3, gamma=0.9)
+    deltas = np.array([[0.5, -0.2, np.nan, np.inf]])
+    coeffs = np.array([[np.nan, 0.8, np.inf, np.inf]])
+    got = retrace_target(np.array([1.0]), deltas, coeffs, np.array([2]), spec)
+    assert got[0] == pytest.approx(1.0 + 0.5 + 0.45 * 0.8 * (-0.2), abs=1e-12)
 
 
 def test_conservative_classification():
@@ -160,14 +188,3 @@ def test_trace_spec_validation():
         TraceSpec(**{**good, "n": -1})
     with pytest.raises(ValueError):
         TraceSpec(**{**good, "alpha_ent": -0.5})
-
-
-def test_segment_eval_validation():
-    with pytest.raises(ValueError):
-        _segment([0.0, 0.0], [0.0], [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        _segment([0.0, np.inf], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        _segment([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, -0.5])
-    ev = _segment([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.5])
-    assert len(ev) == 2
