@@ -126,21 +126,14 @@ class Dense:
 # -- LSTM --------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the negative side only to avoid exp overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class LSTM:
     """Single-layer LSTM; gates packed (input, forget, candidate, output).
 
     W has shape (4H, D+H) acting on [x_t, h_{t-1}]; the forget-gate bias is
     initialized at +1 so early training does not erase the cell state.
+    The input projection of all T steps is one GEMM before the time loop,
+    and each step takes all four gates from one tanh through
+    sigmoid(z) = 0.5 + 0.5 * tanh(z / 2), which cannot overflow.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_dim: int,
@@ -155,81 +148,90 @@ class LSTM:
         b[hidden_dim:2 * hidden_dim] = 1.0
         self.W = ParamBlock(f"{name}.W", w)
         self.b = ParamBlock(f"{name}.b", b)
+        # gates = tanh(z * scale) * scale + shift: sigmoid on i, f, o; tanh on g
+        self._scale = np.full(4 * hidden_dim, 0.5, dtype=dtype)
+        self._scale[2 * hidden_dim:3 * hidden_dim] = 1.0
+        self._shift = np.full(4 * hidden_dim, 0.5, dtype=dtype)
+        self._shift[2 * hidden_dim:3 * hidden_dim] = 0.0
 
     @property
     def blocks(self) -> list:
         return [self.W, self.b]
 
-    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None, c0: np.ndarray | None = None):
-        """xs: (B, T, D) -> hidden sequence (B, T, H) plus a cache for backward."""
+    def forward(self, xs: np.ndarray):
+        """xs: (B, T, D) -> hidden sequence (B, T, H) plus a cache for backward.
+
+        The state starts at zero.  Internally arrays are time-major, so each
+        step reads and writes contiguous (B, .) slices; hs is a (B, T, H) view.
+        """
         xs = np.asarray(xs, dtype=self.dtype)
         if xs.ndim != 3 or xs.shape[2] != self.in_dim:
             raise ValueError(f"lstm expects (B, T, {self.in_dim}) input, got {xs.shape}")
-        B, T, _ = xs.shape
+        B, T, D = xs.shape
         H = self.hidden_dim
-        h = np.zeros((B, H), dtype=self.dtype) if h0 is None else np.asarray(h0, dtype=self.dtype)
-        c = np.zeros((B, H), dtype=self.dtype) if c0 is None else np.asarray(c0, dtype=self.dtype)
-        hs = np.empty((B, T, H), dtype=self.dtype)
-        steps = []
+        W = self.W.values
+        w_h = W[:, D:].T
+        scale, shift = self._scale, self._shift
+        x_tm = xs.transpose(1, 0, 2).reshape(T * B, D)
+        gates = (x_tm @ W[:, :D].T + self.b.values).reshape(T, B, 4 * H)
+        # hs[t + 1], cs[t + 1] hold the state after step t; row 0 is the zero state
+        hs = np.zeros((T + 1, B, H), dtype=self.dtype)
+        cs = np.zeros((T + 1, B, H), dtype=self.dtype)
+        tanh_cs = np.empty((T, B, H), dtype=self.dtype)
         for t in range(T):
-            joint = np.concatenate([xs[:, t, :], h], axis=1)
-            z = joint @ self.W.values.T + self.b.values
-            i = _sigmoid(z[:, 0:H])
-            f = _sigmoid(z[:, H:2 * H])
-            g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:4 * H])
-            c_prev = c
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            hs[:, t, :] = h
-            steps.append((joint, i, f, g, o, c_prev, tanh_c))
-        return hs, (xs.shape, steps)
+            z = gates[t]
+            if t > 0:
+                z += hs[t] @ w_h
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            c = cs[t + 1]
+            np.multiply(z[:, 0:H], z[:, 2 * H:3 * H], out=c)
+            if t > 0:
+                c += z[:, H:2 * H] * cs[t]
+            np.tanh(c, out=tanh_cs[t])
+            np.multiply(z[:, 3 * H:], tanh_cs[t], out=hs[t + 1])
+        return hs[1:].transpose(1, 0, 2), (x_tm, hs, cs, tanh_cs, gates)
 
-    def backward(self, cache, dhs: np.ndarray, accumulate: bool = True):
-        """Full backpropagation through time.
+    def backward(self, cache, dhs: np.ndarray):
+        """Full backpropagation through time; accumulates into W.grad and b.grad.
 
         dhs: (B, T, H) upstream gradient on every hidden output (zero rows
         for unused steps).  Returns (dxs, dW, db).
         """
-        (B, T, D), steps = cache
-        H = self.hidden_dim
+        x_tm, hs, cs, tanh_cs, gates = cache
+        T, B, H = tanh_cs.shape
+        D = x_tm.shape[1]
         dhs = np.asarray(dhs, dtype=self.dtype)
         if dhs.shape != (B, T, H):
             raise ValueError(f"upstream gradient shape {dhs.shape} does not match hidden sequence")
-        dxs = np.empty((B, T, D), dtype=self.dtype)
-        dW = np.zeros_like(self.W.values)
-        db = np.zeros_like(self.b.values)
-        dh_next = np.zeros((B, H), dtype=self.dtype)
-        dc_next = np.zeros((B, H), dtype=self.dtype)
+        i, f, g, o = (gates[:, :, k * H:(k + 1) * H] for k in range(4))
+        # dgate/dz = (1 - y) * (y + scale - shift): y(1 - y) on i, f, o and 1 - y^2 on g;
+        # times the gate's partner it gives dz = local * [dc, dc, dc, dh]
+        local = (1.0 - gates) * (gates + (self._scale - self._shift))
+        local *= np.concatenate([g, cs[:-1], i, tanh_cs], axis=2)
+        local = local.reshape(T, B, 4, H)
+        dh_c = o * (1.0 - np.square(tanh_cs))
+        w_h = self.W.values[:, D:]
+        dz = np.empty((T, B, 4, H), dtype=self.dtype)
         for t in range(T - 1, -1, -1):
-            joint, i, f, g, o, c_prev, tanh_c = steps[t]
-            dh = dhs[:, t, :] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - np.square(tanh_c)) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - np.square(g)),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dW += dz.T @ joint
-            db += dz.sum(axis=0)
-            djoint = dz @ self.W.values
-            dxs[:, t, :] = djoint[:, :D]
-            dh_next = djoint[:, D:]
+            if t == T - 1:
+                dh = dhs[:, t]
+                dc = dh * dh_c[t]
+            else:
+                dh = dhs[:, t] + dz[t + 1].reshape(B, 4 * H) @ w_h
+                dc = dh * dh_c[t] + dc * f[t + 1]
+            np.multiply(local[t, :, :3], dc[:, None, :], out=dz[t, :, :3])
+            np.multiply(local[t, :, 3], dh, out=dz[t, :, 3])
+        dz = dz.reshape(T * B, 4 * H)
+        dW = np.concatenate([dz.T @ x_tm, dz.T @ hs[:-1].reshape(T * B, H)], axis=1)
+        db = dz.sum(axis=0)
+        dxs = (dz @ self.W.values[:, :D]).reshape(T, B, D).transpose(1, 0, 2)
         if "lstm-backward" in _FAULTS:
             dW = dW * 1.05 + 1e-3
-        if accumulate:
-            self.W.grad += dW
-            self.b.grad += db
+        self.W.grad += dW
+        self.b.grad += db
         return dxs, dW, db
 
 

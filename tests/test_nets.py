@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,45 @@ def test_lstm_length_one_equals_manual_cell():
     i, f, g, o = sig(z[0:2]), sig(z[2:4]), np.tanh(z[4:6]), sig(z[6:8])
     c = i * g  # previous cell is zero
     np.testing.assert_allclose(hs[0, 0], o * np.tanh(c), rtol=0, atol=1e-15)
+
+
+def test_lstm_multi_step_matches_reference_cell():
+    """Several steps from a nonzero state, with pre-activations out to |z| ~ 30."""
+    rng = np.random.default_rng(12)
+    B, T, D, H = 3, 6, 4, 5
+    lstm = LSTM("l", D, H, rng=rng, dtype=np.float64)
+    lstm.W.values[:] = rng.normal(0.0, 6.0, lstm.W.values.shape)
+    lstm.b.values[:] = rng.normal(0.0, 2.0, lstm.b.values.shape)
+    xs = rng.normal(size=(B, T, D))
+    hs, _ = lstm.forward(xs)
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    W, b = lstm.W.values, lstm.b.values
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    max_abs_z = 0.0
+    for t in range(T):
+        z = np.concatenate([xs[:, t], h], axis=1) @ W.T + b
+        max_abs_z = max(max_abs_z, float(np.max(np.abs(z))))
+        i, f, g, o = sig(z[:, :H]), sig(z[:, H:2 * H]), np.tanh(z[:, 2 * H:3 * H]), sig(z[:, 3 * H:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        np.testing.assert_allclose(hs[:, t], h, rtol=0, atol=1e-12)
+    assert max_abs_z > 25.0
+
+
+def test_lstm_saturation_stays_finite_and_silent():
+    lstm = LSTM("l", 2, 3, dtype=np.float32)
+    lstm.W.values[:] = 1e4
+    xs = np.full((2, 4, 2), 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hs, cache = lstm.forward(xs)
+        dxs, dW, db = lstm.backward(cache, np.ones_like(hs))
+    assert np.all(np.isfinite(hs)) and np.all(np.abs(hs) <= 1.0)
+    assert all(np.all(np.isfinite(a)) for a in (dxs, dW, db))
 
 
 def test_lstm_gradient_matches_finite_differences():
