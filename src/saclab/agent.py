@@ -254,6 +254,12 @@ class TraceSacAgent:
         self.target_critic_2 = CriticNet("target_critic_2", in_dim, h, hh, self.rng_init, dtype)
         self._copy_blocks(self.critic_1, self.target_critic_1)
         self._copy_blocks(self.critic_2, self.target_critic_2)
+        # one flat arena per optimizer group; each net's blocks are views of it
+        self.actor_arena = nets.ParamArena("actor", self.actor.blocks)
+        self.critic_arena = nets.ParamArena("critics", self.critic_1.blocks + self.critic_2.blocks)
+        self.target_arena = nets.ParamArena(
+            "target_critics", self.target_critic_1.blocks + self.target_critic_2.blocks
+        )
 
         self.buffer = ReplayBuffer(config.buffer_capacity, config.warmup)
         self.update_count = 0
@@ -398,9 +404,7 @@ class TraceSacAgent:
         """One regression step of both critics onto retrace targets."""
         targets = self.segment_targets(segments, self.rng_update)
         loss = self.critic_loss_backward(segments, targets)
-        for critic in (self.critic_1, self.critic_2):
-            for block in critic.blocks:
-                adam_step(block, self.config.lr_critic)
+        adam_step(self.critic_arena, self.config.lr_critic)
         self.update_count += 1
         return loss
 
@@ -451,19 +455,14 @@ class TraceSacAgent:
         """One step on mean(alpha * log pi - min online Q) at segment starts."""
         eps = self.rng_update.standard_normal(len(segments))
         loss = self.actor_loss_backward(segments, eps)
-        for block in self.actor.blocks:
-            adam_step(block, self.config.lr_actor)
+        adam_step(self.actor_arena, self.config.lr_actor)
         return loss
 
     def target_update(self, tau: float | None = None) -> None:
         """Polyak smoothing: target <- tau * online + (1 - tau) * target."""
         tau = self.config.tau if tau is None else tau
-        for online, target in (
-            (self.critic_1, self.target_critic_1),
-            (self.critic_2, self.target_critic_2),
-        ):
-            for ob, tb in zip(online.blocks, target.blocks):
-                tb.values[...] = tau * ob.values + (1.0 - tau) * tb.values
+        target = self.target_arena.values
+        target[...] = tau * self.critic_arena.values + (1.0 - tau) * target
 
     # -- training loop ----------------------------------------------------------------
 

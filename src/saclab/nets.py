@@ -8,12 +8,25 @@ read-only parameters stays re-entrant; backward passes consume the cache,
 accumulate into each block's .grad, and also return the local gradients.
 Training runs in float32; oracles and finite-difference fixtures construct
 layers with dtype=np.float64.
+
+Parameter arenas: a ParamArena lays the blocks one optimizer trains end to
+end in one flat values/grad/adam_m/adam_v vector each, and every block's
+arrays become reshaped views of those vectors.  Blocks keep their names,
+shapes and checkpoint keys, but one adam_step on the arena (or one Polyak
+expression over its values) updates the whole group, and the Adam step count
+lives on the arena.
+
+Allocator policy: on Linux with glibc, importing this module stops malloc
+from returning freed memory at the top of the heap to the kernel and from
+serving large arrays with mmap (see _keep_freed_memory).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +47,95 @@ def clear_faults() -> None:
     _FAULTS.clear()
 
 
-@dataclass
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory mapped so the next allocation does not fault it in.
+
+    Each batched LSTM.forward in segment_targets frees about 0.5 MB of
+    arrays.  With glibc's default, dynamic thresholds that memory is trimmed
+    from the top of the heap (or unmapped) and faulted back in on the next
+    call, at about 1.4 us per 4 KiB page; whether a build pays this depends
+    on its heap layout.  One sinusoid_train training run with evaluation
+    (seed 1) took 192,384 minor faults with the defaults and 6,766 with
+    fixed 64 MiB trim and mmap thresholds, which keep such arrays on the
+    heap and their freed pages mapped.  Elsewhere this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):  # the keys below are glibc's
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    libc.mallopt(m_trim_threshold, 64 << 20)
+    libc.mallopt(m_mmap_threshold, 64 << 20)
+
+
+_keep_freed_memory()
+
+
 class ParamBlock:
-    """One named tensor of trainable parameters with its Adam state."""
+    """One named tensor of trainable parameters with its Adam state.
 
-    name: str
-    values: np.ndarray
-    grad: np.ndarray = field(init=False)
-    adam_m: np.ndarray = field(init=False)
-    adam_v: np.ndarray = field(init=False)
-    step_count: int = field(init=False, default=0)
+    A block inside a ParamArena holds views of the arena's vectors and
+    shares its step_count, so stepping either advances the count of both.
+    """
 
-    def __post_init__(self) -> None:
-        self.grad = np.zeros_like(self.values)
-        self.adam_m = np.zeros_like(self.values)
-        self.adam_v = np.zeros_like(self.values)
+    def __init__(self, name: str, values: np.ndarray):
+        self.name = name
+        self.values = values
+        self.grad = np.zeros_like(values)
+        self.adam_m = np.zeros_like(values)
+        self.adam_v = np.zeros_like(values)
+        # one-element list that an arena shares with its blocks; a reference
+        # from block to arena would be a cycle, and agents would then wait
+        # for the cyclic garbage collector instead of being freed at once
+        self._steps = [0]
+
+    @property
+    def step_count(self) -> int:
+        return self._steps[0]
+
+    @step_count.setter
+    def step_count(self, value: int) -> None:
+        self._steps[0] = value
+
+    @property
+    def parts(self) -> list:
+        """The named blocks this one is made of: itself."""
+        return [self]
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
+
+
+class ParamArena(ParamBlock):
+    """The blocks one optimizer trains, laid end to end in flat vectors.
+
+    values, grad, adam_m and adam_v are each one contiguous 1-D array, and
+    every block's arrays become reshaped views of them (current contents are
+    kept), so adam_step on the arena is one step of every block in it.
+    """
+
+    def __init__(self, name: str, blocks):
+        blocks = list(blocks)
+        super().__init__(name, np.concatenate([b.values.ravel() for b in blocks]))
+        self.step_count = blocks[0].step_count
+        self._parts = blocks
+        offset = 0
+        for b in blocks:
+            shape, end = b.values.shape, offset + b.values.size
+            for attr in ("values", "grad", "adam_m", "adam_v"):
+                view = getattr(self, attr)[offset:end]
+                view[...] = getattr(b, attr).ravel()
+                setattr(b, attr, view.reshape(shape))
+            b._steps = self._steps
+            offset = end
+
+    @property
+    def parts(self) -> list:
+        return self._parts
 
 
 def zero_grads(blocks) -> None:
@@ -59,20 +143,35 @@ def zero_grads(blocks) -> None:
         b.zero_grad()
 
 
+def _non_finite_part(block: ParamBlock, attr: str) -> str:
+    return next(p.name for p in block.parts if not np.all(np.isfinite(getattr(p, attr))))
+
+
 def adam_step(block: ParamBlock, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update in place; clears the gradient afterwards."""
-    if not np.all(np.isfinite(block.grad)):
-        raise FloatingPointError(f"non-finite gradient in parameter block {block.name!r}")
+    """Bias-corrected Adam update in place; clears the gradient afterwards.
+
+    block may be one ParamBlock or a ParamArena; the update is elementwise,
+    so one step of an arena equals one step of each of its blocks bit for
+    bit.  A non-finite gradient or result is reported by block name.
+    """
+    grad = block.grad
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError(
+            f"non-finite gradient in parameter block {_non_finite_part(block, 'grad')!r}")
     block.step_count += 1
     t = block.step_count
-    block.adam_m = beta1 * block.adam_m + (1.0 - beta1) * block.grad
-    block.adam_v = beta2 * block.adam_v + (1.0 - beta2) * np.square(block.grad)
-    m_hat = block.adam_m / (1.0 - beta1 ** t)
-    v_hat = block.adam_v / (1.0 - beta2 ** t)
+    m, v = block.adam_m, block.adam_v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * np.square(grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
     block.values -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(block.values.dtype)
     if not np.all(np.isfinite(block.values)):
-        raise FloatingPointError(f"non-finite values in parameter block {block.name!r} after update")
+        raise FloatingPointError(
+            f"non-finite values in parameter block {_non_finite_part(block, 'values')!r} after update")
     block.zero_grad()
 
 

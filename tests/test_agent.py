@@ -1,11 +1,14 @@
 """Agent-level checks: featurization, acting, targets, updates, training loop."""
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from saclab import harness
 from saclab.agent import (
     AgentConfig,
     METRICS_HEADER,
@@ -17,7 +20,7 @@ from saclab.agent import (
     train_agent,
 )
 from saclab.env import EnvConfig, Observation
-from saclab.nets import squashed_gaussian
+from saclab.nets import ParamBlock, adam_step, squashed_gaussian
 from saclab.traces import TraceKind, TraceSpec
 
 from helpers import blocks_equal, clone_blocks, tiny_agent, tiny_env
@@ -304,6 +307,92 @@ def test_checkpoint_restores_policy_exactly(tmp_path):
     assert fresh.update_count == agent.update_count
     for o in (env.reset(), env.step(0.1).observation):
         assert fresh.act(o, stochastic=False) == agent.act(o, stochastic=False)
+
+
+def _state(blocks) -> list:
+    return [(b.values.copy(), b.adam_m.copy(), b.adam_v.copy(), b.step_count) for b in blocks]
+
+
+def _same_state(a, b) -> bool:
+    return all(
+        all(np.array_equal(x, y) for x, y in zip(sa[:3], sb[:3])) and sa[3] == sb[3]
+        for sa, sb in zip(a, b)
+    )
+
+
+def test_resumed_agent_takes_the_same_next_update(tmp_path):
+    # the Adam step count lives on each arena; a restore that left it at 0
+    # would change the bias correction of the next step
+    agent, segments = harness._tiny_agent(np.float32)
+    for _ in range(5):
+        agent.critic_update(segments)
+        agent.actor_update(segments)
+        agent.target_update()
+    path = tmp_path / "agent.npz"
+    agent.save_checkpoint(path)
+    fresh, _ = harness._tiny_agent(np.float32)
+    fresh.restore_checkpoint(path)
+    assert _same_state(_state(fresh.blocks), _state(agent.blocks))
+    fresh.rng_update.bit_generator.state = agent.rng_update.bit_generator.state
+    agent.critic_update(segments)
+    fresh.critic_update(segments)
+    assert _same_state(_state(fresh.blocks), _state(agent.blocks))
+    assert all(b.step_count == 6 for b in agent.critic_1.blocks + agent.critic_2.blocks)
+
+
+def test_arenas_hold_every_block_as_views():
+    agent, _, _ = tiny_agent()
+    groups = [
+        (agent.actor_arena, agent.actor.blocks),
+        (agent.critic_arena, agent.critic_1.blocks + agent.critic_2.blocks),
+        (agent.target_arena, agent.target_critic_1.blocks + agent.target_critic_2.blocks),
+    ]
+    for arena, blocks in groups:
+        assert arena.parts == blocks
+        assert arena.values.size == sum(b.values.size for b in blocks)
+        for b in blocks:
+            for attr in ("values", "grad", "adam_m", "adam_v"):
+                assert np.shares_memory(getattr(b, attr), getattr(arena, attr)), (b.name, attr)
+
+
+def test_arena_adam_matches_per_block_adam():
+    agent, _, _ = tiny_agent(np.float32)
+    arena = agent.critic_arena
+    clones = [ParamBlock(b.name, b.values.copy()) for b in arena.parts]
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        for b, c in zip(arena.parts, clones):
+            b.grad[...] = rng.normal(size=b.values.shape)
+            c.grad[...] = b.grad
+            adam_step(c, 1e-2)
+        adam_step(arena, 1e-2)
+    for b, c in zip(arena.parts, clones):
+        for attr in ("values", "adam_m", "adam_v", "grad"):
+            np.testing.assert_array_equal(getattr(b, attr), getattr(c, attr))
+        assert b.step_count == c.step_count == 10
+
+
+def test_non_finite_gradient_in_arena_names_the_block():
+    agent, _, _ = tiny_agent()
+    agent.critic_2.h1.W.grad[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"'critic_2\.h1\.W'"):
+        adam_step(agent.critic_arena, 1e-3)
+
+
+def test_agent_is_freed_without_the_cycle_collector():
+    # the benchmark builds an agent per run; parameters held in a cycle
+    # stayed resident until a full collection and peak memory grew per run
+    agent, _, _ = tiny_agent(np.float32)
+    held = [agent, agent.actor_arena, agent.critic_arena, agent.target_arena] + agent.blocks
+    refs = [weakref.ref(x) for x in held]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del agent, held
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_metrics_csv_format(tmp_path):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import platform
+import sys
 import warnings
 
 import numpy as np
@@ -300,6 +302,28 @@ def test_adam_is_deterministic():
         return blk.values.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set on Linux with glibc only")
+def test_freed_arrays_are_not_faulted_back_in():
+    # arrays the size of one batched LSTM forward's temporaries; with glibc's
+    # default thresholds each cycle faulted their pages in again (about 600)
+    import resource
+
+    def cycle():
+        a = np.ones(1 << 18, dtype=np.float32)
+        b = np.ones(1 << 18, dtype=np.float32)
+        c = np.ones(1 << 17, dtype=np.float32)
+        del a, b, c
+
+    for _ in range(5):
+        cycle()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        cycle()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 50 < 10
 
 
 def test_gradient_check_negative_control():
