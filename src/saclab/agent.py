@@ -18,10 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import nets
-from .env import EnvConfig, Observation, TradingEnv, cumulative_log_return, run_episode
+from .env import EnvConfig, EpisodeRecord, Observation, TradingEnv, cumulative_log_return, run_episode
 from .nets import LSTM, Dense, adam_step, squashed_gaussian, squashed_gaussian_grads, squashed_gaussian_log_density
 from .replay import ReplayBuffer, Transition
 from .traces import TraceSpec, retrace_target, soft_td_error, trace_coefficient_from_log
+
+#: Windows per batched actor encoding while the actor is frozen.  One LSTM
+#: pass over a whole split holds (T+1, B, H) state arrays and caches for
+#: every window at once: on perfbench's minute_backtest (2,880-bar training
+#: split, hidden 32) that raised peak RSS from 49.8 to 63.6 MB, while chunks
+#: of 128 with copied-out encodings stay below per-step acting.
+ENCODE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -73,70 +80,45 @@ class ObsFeaturizer:
 
     def features(self, observations) -> tuple:
         """-> (windows (M, l+1, F+2), scalars (M, 2)); scalars = [b_feat, h_feat]."""
-        raw = np.stack([o.window for o in observations])
+        windows, mid_now = self.window_features(np.stack([o.window for o in observations]))
+        balance = np.array([o.balance for o in observations], dtype=np.float64)
+        holdings = np.array([o.holdings for o in observations], dtype=np.float64)
+        return windows, self.scalar_features(balance, holdings, mid_now)
+
+    def window_features(self, raw: np.ndarray) -> tuple:
+        """Raw windows (M, l+1, F+2) -> (featurized windows, mid_now (M,))."""
         n_feat = raw.shape[2] - 2
         mid_now = 0.5 * (raw[:, -1, n_feat] + raw[:, -1, n_feat + 1])
         log_mid = np.log(mid_now)[:, None]
         windows = raw.copy()
         windows[:, :, n_feat] = 100.0 * (np.log(raw[:, :, n_feat]) - log_mid)
         windows[:, :, n_feat + 1] = 100.0 * (np.log(raw[:, :, n_feat + 1]) - log_mid)
-        balance = np.array([o.balance for o in observations], dtype=np.float64)
-        holdings = np.array([o.holdings for o in observations], dtype=np.float64)
-        scalars = np.stack([balance / self.v0 - 1.0, holdings * mid_now / self.v0], axis=1)
-        return windows, scalars
+        return windows, mid_now
+
+    def scalar_features(self, balance, holdings, mid_now: np.ndarray) -> np.ndarray:
+        """-> (M, 2) [b_feat, h_feat] from (M,) newest mids and (M,) or scalar
+        balances and holdings."""
+        scalars = np.empty((len(mid_now), 2))
+        scalars[:, 0] = balance / self.v0 - 1.0
+        scalars[:, 1] = holdings * mid_now / self.v0
+        return scalars
 
     def action_feature(self, action) -> np.ndarray:
         return np.asarray(action, dtype=np.float64) / self.h_max
 
 
-class ActorNet:
-    """LSTM encoder over the window; dense head -> (mean, log_std)."""
+class _EncoderHeadNet:
+    """LSTM encoder over the window; its last hidden state, concatenated with
+    n_scalars account (and action) features, feeds two tanh layers and a
+    linear output of width n_out.  `encode` and the head are separate so a
+    window's encoding can be computed once and reused."""
 
     def __init__(self, name: str, in_dim: int, lstm_hidden: int, head_hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 n_scalars: int, n_out: int, rng: np.random.Generator, dtype):
         self.lstm = LSTM(f"{name}.lstm", in_dim, lstm_hidden, rng, dtype)
-        self.h1 = Dense(f"{name}.h1", lstm_hidden + 2, head_hidden, "tanh", rng, dtype)
+        self.h1 = Dense(f"{name}.h1", lstm_hidden + n_scalars, head_hidden, "tanh", rng, dtype)
         self.h2 = Dense(f"{name}.h2", head_hidden, head_hidden, "tanh", rng, dtype)
-        self.out = Dense(f"{name}.out", head_hidden, 2, "identity", rng, dtype)
-        # small output init keeps the initial policy near mean 0, log_std 0
-        self.out.W.values *= 0.1
-        self.hidden = lstm_hidden
-        self.dtype = dtype
-
-    @property
-    def blocks(self) -> list:
-        return self.lstm.blocks + self.h1.blocks + self.h2.blocks + self.out.blocks
-
-    def forward(self, windows: np.ndarray, scalars: np.ndarray):
-        hs, lstm_cache = self.lstm.forward(windows)
-        enc = hs[:, -1, :]
-        x = np.concatenate([enc, np.asarray(scalars, dtype=self.dtype)], axis=1)
-        a1, c1 = self.h1.forward(x)
-        a2, c2 = self.h2.forward(a1)
-        out, c3 = self.out.forward(a2)
-        cache = (lstm_cache, c1, c2, c3, hs.shape)
-        return out[:, 0], out[:, 1], cache
-
-    def backward(self, cache, dmean: np.ndarray, dlog_std: np.ndarray) -> None:
-        lstm_cache, c1, c2, c3, hs_shape = cache
-        dout = np.stack([dmean, dlog_std], axis=1).astype(self.dtype)
-        dx3, _, _ = self.out.backward(c3, dout)
-        dx2, _, _ = self.h2.backward(c2, dx3)
-        dx1, _, _ = self.h1.backward(c1, dx2)
-        dhs = np.zeros(hs_shape, dtype=self.dtype)
-        dhs[:, -1, :] = dx1[:, : self.hidden]
-        self.lstm.backward(lstm_cache, dhs)
-
-
-class CriticNet:
-    """LSTM encoder; dense head on [encoding, b_feat, h_feat, a_feat] -> q."""
-
-    def __init__(self, name: str, in_dim: int, lstm_hidden: int, head_hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.lstm = LSTM(f"{name}.lstm", in_dim, lstm_hidden, rng, dtype)
-        self.h1 = Dense(f"{name}.h1", lstm_hidden + 3, head_hidden, "tanh", rng, dtype)
-        self.h2 = Dense(f"{name}.h2", head_hidden, head_hidden, "tanh", rng, dtype)
-        self.out = Dense(f"{name}.out", head_hidden, 1, "identity", rng, dtype)
+        self.out = Dense(f"{name}.out", head_hidden, n_out, "identity", rng, dtype)
         self.hidden = lstm_hidden
         self.dtype = dtype
 
@@ -148,12 +130,62 @@ class CriticNet:
         hs, lstm_cache = self.lstm.forward(windows)
         return hs[:, -1, :], (lstm_cache, hs.shape)
 
-    def head(self, enc: np.ndarray, scalars: np.ndarray):
+    def _head(self, enc: np.ndarray, scalars: np.ndarray):
         x = np.concatenate([enc, np.asarray(scalars, dtype=self.dtype)], axis=1)
         a1, c1 = self.h1.forward(x)
         a2, c2 = self.h2.forward(a1)
         out, c3 = self.out.forward(a2)
-        return out[:, 0], (c1, c2, c3)
+        return out, (c1, c2, c3)
+
+    def _head_backward(self, head_cache, dout: np.ndarray, accumulate: bool = True) -> np.ndarray:
+        c1, c2, c3 = head_cache
+        dx3, _, _ = self.out.backward(c3, dout, accumulate)
+        dx2, _, _ = self.h2.backward(c2, dx3, accumulate)
+        dx1, _, _ = self.h1.backward(c1, dx2, accumulate)
+        return dx1
+
+    def _encode_backward(self, enc_cache, denc: np.ndarray) -> None:
+        lstm_cache, hs_shape = enc_cache
+        dhs = np.zeros(hs_shape, dtype=self.dtype)
+        dhs[:, -1, :] = denc
+        self.lstm.backward(lstm_cache, dhs)
+
+
+class ActorNet(_EncoderHeadNet):
+    """Dense head on [encoding, b_feat, h_feat] -> (mean, log_std)."""
+
+    def __init__(self, name: str, in_dim: int, lstm_hidden: int, head_hidden: int,
+                 rng: np.random.Generator, dtype=np.float32):
+        super().__init__(name, in_dim, lstm_hidden, head_hidden, 2, 2, rng, dtype)
+        # small output init keeps the initial policy near mean 0, log_std 0
+        self.out.W.values *= 0.1
+
+    def head(self, enc: np.ndarray, scalars: np.ndarray):
+        out, head_cache = self._head(enc, scalars)
+        return out[:, 0], out[:, 1], head_cache
+
+    def forward(self, windows: np.ndarray, scalars: np.ndarray):
+        enc, enc_cache = self.encode(windows)
+        mean, log_std, head_cache = self.head(enc, scalars)
+        return mean, log_std, (enc_cache, head_cache)
+
+    def backward(self, cache, dmean: np.ndarray, dlog_std: np.ndarray) -> None:
+        enc_cache, head_cache = cache
+        dout = np.stack([dmean, dlog_std], axis=1).astype(self.dtype)
+        dx1 = self._head_backward(head_cache, dout)
+        self._encode_backward(enc_cache, dx1[:, : self.hidden])
+
+
+class CriticNet(_EncoderHeadNet):
+    """Dense head on [encoding, b_feat, h_feat, a_feat] -> q."""
+
+    def __init__(self, name: str, in_dim: int, lstm_hidden: int, head_hidden: int,
+                 rng: np.random.Generator, dtype=np.float32):
+        super().__init__(name, in_dim, lstm_hidden, head_hidden, 3, 1, rng, dtype)
+
+    def head(self, enc: np.ndarray, scalars: np.ndarray):
+        out, head_cache = self._head(enc, scalars)
+        return out[:, 0], head_cache
 
     def forward(self, windows: np.ndarray, scalars: np.ndarray):
         enc, enc_cache = self.encode(windows)
@@ -162,20 +194,13 @@ class CriticNet:
 
     def head_backward(self, head_cache, dq: np.ndarray, accumulate: bool = True):
         """Backward through the head only; returns (denc, dscalars)."""
-        c1, c2, c3 = head_cache
-        dout = np.asarray(dq, dtype=self.dtype)[:, None]
-        dx3, _, _ = self.out.backward(c3, dout, accumulate)
-        dx2, _, _ = self.h2.backward(c2, dx3, accumulate)
-        dx1, _, _ = self.h1.backward(c1, dx2, accumulate)
+        dx1 = self._head_backward(head_cache, np.asarray(dq, dtype=self.dtype)[:, None], accumulate)
         return dx1[:, : self.hidden], dx1[:, self.hidden:]
 
     def backward(self, cache, dq: np.ndarray) -> None:
         enc_cache, head_cache = cache
-        lstm_cache, hs_shape = enc_cache
         denc, _ = self.head_backward(head_cache, dq)
-        dhs = np.zeros(hs_shape, dtype=self.dtype)
-        dhs[:, -1, :] = denc
-        self.lstm.backward(lstm_cache, dhs)
+        self._encode_backward(enc_cache, denc)
 
 
 @dataclass
@@ -203,9 +228,6 @@ class TrainingMetrics:
         if not vals:
             raise ValueError("no validation records in metrics")
         return vals[-1]
-
-    def validation_returns(self) -> list:
-        return [r.val_return_pct for r in self.rows if r.val_return_pct is not None]
 
     def to_csv(self, path: str | Path) -> None:
         def cell(x) -> str:
@@ -286,6 +308,9 @@ class TraceSacAgent:
         (action = h_max * tanh(mean)) and draws nothing from the rng."""
         windows, scalars = self.featurizer.features([obs])
         mean, log_std, _ = self.actor.forward(windows, scalars)
+        return self._draw(mean, log_std, stochastic, rng)
+
+    def _draw(self, mean, log_std, stochastic: bool, rng: np.random.Generator | None = None):
         if stochastic:
             rng = rng if rng is not None else self.rng_collect
             eps = rng.standard_normal()
@@ -295,6 +320,41 @@ class TraceSacAgent:
             float(mean[0]), float(log_std[0]), eps, self.env_config.h_max
         )
         return float(action), float(log_density)
+
+    def frozen_policy(self, env: TradingEnv):
+        """`act` for observations of `env`, valid only while the actor does not change.
+
+        Returns policy(obs, stochastic) -> (action, log_density) for the
+        observation at env's current bar.  The actor's encoding of a window
+        depends on nothing else, so the split's windows are featurized and
+        encoded in chunks of ENCODE_CHUNK bars, each when a rollout first
+        reaches it, and only the chunk's last-step encodings are kept; a
+        step runs the dense head and the squashed Gaussian alone.  A
+        stochastic step draws one rng_collect normal, as `act` does.
+        """
+        start = env.split_range.start
+        n_chunks = -(-len(env.windows) // ENCODE_CHUNK)
+        encodings = [None] * n_chunks
+        mids = [None] * n_chunks
+
+        def policy(obs: Observation, stochastic: bool):
+            c, j = divmod(env.state.t - start, ENCODE_CHUNK)
+            if encodings[c] is None:
+                lo = c * ENCODE_CHUNK
+                windows, mids[c] = self.featurizer.window_features(env.windows[lo:lo + ENCODE_CHUNK])
+                enc, _ = self.actor.encode(windows)
+                encodings[c] = enc.copy()  # a view would keep the chunk's LSTM state alive
+            scalars = self.featurizer.scalar_features(obs.balance, obs.holdings, mids[c][j:j + 1])
+            mean, log_std, _ = self.actor.head(encodings[c][j:j + 1], scalars)
+            return self._draw(mean, log_std, stochastic)
+
+        return policy
+
+    def rollout(self, env: TradingEnv) -> EpisodeRecord:
+        """One deterministic episode of the current actor on `env`: the
+        validation return during training and `harness.evaluate_checkpoint`."""
+        policy = self.frozen_policy(env)
+        return run_episode(env, lambda obs: policy(obs, stochastic=False)[0])
 
     # -- target construction ------------------------------------------------------
 
@@ -466,13 +526,10 @@ class TraceSacAgent:
 
     # -- training loop ----------------------------------------------------------------
 
-    def validation_return(self, env: TradingEnv) -> float:
-        record = run_episode(env, lambda obs: self.act(obs, stochastic=False)[0])
-        return record.return_pct
-
     def train(self, train_env: TradingEnv, val_env: TradingEnv, env_id: int = 0) -> TrainingMetrics:
         cfg = self.config
         metrics = TrainingMetrics()
+        warmup = self.frozen_policy(train_env)
         for episode in range(1, cfg.episodes + 1):
             obs = train_env.reset()
             done = False
@@ -481,7 +538,12 @@ class TraceSacAgent:
             actor_losses = []
             steps = 0
             while not done:
-                action, logp = self.act(obs, stochastic=True)
+                # no update runs before the buffer is ready, so the actor is frozen until then
+                if self.buffer.ready:
+                    warmup = None
+                    action, logp = self.act(obs, stochastic=True)
+                else:
+                    action, logp = warmup(obs, stochastic=True)
                 result = train_env.step(action)
                 self.buffer.push(
                     Transition(obs, action, result.reward, result.observation, logp, result.done)
@@ -501,7 +563,7 @@ class TraceSacAgent:
                             self.target_update()
             val_ret = None
             if episode % cfg.validate_every == 0:
-                val_ret = self.validation_return(val_env)
+                val_ret = self.rollout(val_env).return_pct
             metrics.rows.append(
                 MetricsRow(
                     episode=episode,
@@ -537,13 +599,3 @@ def train_agent(train_env: TradingEnv, val_env: TradingEnv, config: AgentConfig,
     metrics = agent.train(train_env, val_env, env_id=env_id)
     return agent, metrics
 
-
-def random_policy_return(env: TradingEnv, seed: int, episodes: int = 1) -> float:
-    """Mean episode return of uniform random actions; training-free baseline."""
-    rng = np.random.default_rng(seed)
-    h_max = env.config.h_max
-    total = 0.0
-    for _ in range(episodes):
-        record = run_episode(env, lambda obs: float(rng.uniform(-h_max, h_max)))
-        total += record.return_pct
-    return total / episodes

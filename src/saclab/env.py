@@ -74,7 +74,9 @@ class Observation:
 
     Window rows are ordered oldest to newest; each row is the feature vector
     followed by bid and ask.  Rows before the episode start are back-filled
-    with the first bar so the shape never changes.
+    with the first bar so the shape never changes.  The window is a
+    read-only view of its environment's `TradingEnv.windows` tensor, not a
+    copy.
     """
 
     balance: float
@@ -91,7 +93,13 @@ class StepResult:
 
 
 class TradingEnv:
-    """Single-asset replay environment over one contiguous index range."""
+    """Single-asset replay environment over one contiguous index range.
+
+    `windows` is one read-only (len(split), l+1, F+2) float64 tensor whose
+    row i is the observation window at bar split.start + i; it is a sliding
+    view over the split's rows after the back-fill, so the windows share one
+    (len(split) + l, F+2) array and every `Observation.window` is a view.
+    """
 
     def __init__(self, data: Dataset, split_range: range, config: EnvConfig = EnvConfig()):
         if split_range.step != 1:
@@ -107,21 +115,18 @@ class TradingEnv:
         self.config = config
         self.state: EnvState | None = None
         self._done = True
+        l = config.lookback
+        bars = slice(split_range.start, split_range.stop)
+        rows = np.column_stack([data.features[bars], data.bids[bars], data.asks[bars]])
+        # back-fill pre-history with the first bar
+        rows = np.concatenate([np.repeat(rows[:1], l, axis=0), rows])
+        rows.flags.writeable = False
+        self.windows = np.lib.stride_tricks.sliding_window_view(rows, l + 1, axis=0).transpose(0, 2, 1)
 
     # -- observation assembly -------------------------------------------------
 
     def _window(self, t: int) -> np.ndarray:
-        l = self.config.lookback
-        start = self.split_range.start
-        rows = []
-        for k in range(t - l, t + 1):
-            i = max(k, start)  # back-fill pre-history with the first bar
-            rows.append(
-                np.concatenate([self.data.features[i], [self.data.bids[i], self.data.asks[i]]])
-            )
-        window = np.stack(rows)
-        window.flags.writeable = False
-        return window
+        return self.windows[t - self.split_range.start]
 
     def _observe(self) -> Observation:
         assert self.state is not None

@@ -157,7 +157,7 @@ def evaluate_checkpoint(cfg: RunConfig, run_dir: Path, env_id: int, kind: str, s
         raise ConfigError(f"config: checkpoint not found: {checkpoint}")
     agent.restore_checkpoint(checkpoint)
 
-    record = run_episode(env, lambda obs: agent.act(obs, stochastic=False)[0])
+    record = agent.rollout(env)
     if trace_out is not None:
         from .env import write_episode_trace
 

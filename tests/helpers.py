@@ -6,7 +6,7 @@ import numpy as np
 
 from saclab.agent import AgentConfig, TraceSacAgent
 from saclab.data import synthesize_market
-from saclab.env import EnvConfig, TradingEnv
+from saclab.env import EnvConfig, TradingEnv, run_episode
 from saclab.replay import Transition
 from saclab.traces import TraceKind, TraceSpec
 
@@ -60,3 +60,14 @@ def clone_blocks(blocks) -> list:
 
 def blocks_equal(blocks, snapshot) -> bool:
     return all(np.array_equal(b.values, s) for b, s in zip(blocks, snapshot))
+
+
+def random_policy_return(env: TradingEnv, seed: int, episodes: int = 1) -> float:
+    """Mean episode return of uniform random actions; training-free baseline."""
+    rng = np.random.default_rng(seed)
+    h_max = env.config.h_max
+    total = 0.0
+    for _ in range(episodes):
+        record = run_episode(env, lambda obs: float(rng.uniform(-h_max, h_max)))
+        total += record.return_pct
+    return total / episodes

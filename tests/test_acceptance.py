@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from saclab import harness
-from saclab.agent import AgentConfig, random_policy_return, train_agent
+from saclab.agent import AgentConfig, train_agent
 from saclab.cli import main
 from saclab.data import separate_environments, synthesize_market
 from saclab.env import EnvConfig, TradingEnv
 from saclab.traces import TraceKind, TraceSpec
+
+from helpers import random_policy_return
 
 def _line(num: int, name: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {num} ({name}): {detail}")

@@ -1,6 +1,7 @@
 """Agent-level checks: featurization, acting, targets, updates, training loop."""
 from __future__ import annotations
 
+import copy
 import gc
 import math
 import weakref
@@ -10,20 +11,20 @@ import pytest
 
 from saclab import harness
 from saclab.agent import (
+    ENCODE_CHUNK,
     AgentConfig,
     METRICS_HEADER,
     MetricsRow,
     ObsFeaturizer,
     TraceSacAgent,
     TrainingMetrics,
-    random_policy_return,
     train_agent,
 )
 from saclab.env import EnvConfig, Observation
 from saclab.nets import ParamBlock, adam_step, squashed_gaussian
 from saclab.traces import TraceKind, TraceSpec
 
-from helpers import blocks_equal, clone_blocks, tiny_agent, tiny_env
+from helpers import blocks_equal, clone_blocks, random_policy_return, tiny_agent, tiny_env
 
 
 def test_featurizer_window_and_scalars():
@@ -62,6 +63,54 @@ def test_deterministic_act_is_squashed_mean_and_uses_no_rng():
     # stochastic mode does consume the collection stream
     agent.act(obs, stochastic=True)
     assert agent.rng_collect.bit_generator.state != before
+
+
+def test_frozen_policy_matches_per_step_act():
+    agent, _, _ = tiny_agent()
+    agent.actor_arena.values += np.random.default_rng(5).normal(0.0, 0.3, agent.actor_arena.values.shape)
+    env = tiny_env(length=300)
+    assert len(env.windows) > 2 * ENCODE_CHUNK  # the rollout crosses two chunk seams
+    policy = agent.frozen_policy(env)
+    twin = copy.deepcopy(agent.rng_collect)
+    obs = env.reset()
+    done = False
+    steps = traded = 0
+    while not done:
+        deterministic = agent.act(obs, stochastic=False)
+        stochastic = agent.act(obs, stochastic=True, rng=twin)
+        np.testing.assert_allclose(policy(obs, False), deterministic, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(policy(obs, True), stochastic, rtol=0, atol=1e-12)
+        result = env.step(stochastic[0])
+        obs, done = result.observation, result.done
+        steps += 1
+        traded += result.info["executed"] != 0.0
+    assert steps == 299 and traded > 0
+    assert agent.rng_collect.bit_generator.state == twin.bit_generator.state
+
+
+def test_warmup_draws_one_collect_normal_per_step():
+    env = tiny_env(length=40, seed=6)
+    val_env = tiny_env(length=40, seed=7)
+    spec = TraceSpec(kind=TraceKind.RETRACE, lam=0.9, n=2, gamma=0.95, alpha_ent=0.01)
+    cfg = AgentConfig(trace=spec, batch=4, warmup=100, buffer_capacity=400, lstm_hidden=4,
+                      head_hidden=4, episodes=2, validate_every=1, seed=3)
+    agent = TraceSacAgent(cfg, env.config, env.data.n_features, dtype=np.float64)
+    twin = copy.deepcopy(agent.rng_collect)
+    replay_rng = copy.deepcopy(agent.rng_collect)
+    metrics = agent.train(env, val_env)
+    # two warmup episodes of 39 steps, each followed by a deterministic validation
+    assert agent.update_count == 0 and agent.buffer.push_count == 78
+    assert all(r.val_return_pct is not None for r in metrics.rows)
+    for _ in range(78):
+        twin.standard_normal()
+    assert agent.rng_collect.bit_generator.state == twin.bit_generator.state
+    # each stored behaviour step is what per-step acting would have drawn
+    for i in range(78):
+        tr = agent.buffer.segment_at(i, 0).transitions[0]
+        np.testing.assert_allclose(
+            agent.act(tr.obs, stochastic=True, rng=replay_rng),
+            (tr.action, tr.behavior_log_density), rtol=0, atol=1e-12,
+        )
 
 
 def test_actions_always_within_bounds():
@@ -261,7 +310,7 @@ def test_train_produces_one_row_per_episode_with_periodic_validation():
     assert all(r.steps == 39 for r in metrics.rows)
     vals = [r.val_return_pct for r in metrics.rows]
     assert [v is not None for v in vals] == [e % 5 == 0 for e in range(1, 11)]
-    assert len(metrics.validation_returns()) == 2
+    assert len([v for v in vals if v is not None]) == 2
     assert metrics.final_validation_return() == vals[-1]
     assert all(r.trace_kind == "retrace" for r in metrics.rows)
     # updates happened once warmup passed

@@ -17,7 +17,7 @@ from saclab.env import (
     write_episode_trace,
 )
 
-from helpers import tiny_env
+from helpers import rough_market, tiny_env
 
 
 def quote_dataset(bids, asks) -> Dataset:
@@ -244,6 +244,42 @@ def test_env_split_validation():
         TradingEnv(data, range(0, 11))
     with pytest.raises(ValueError, match="too short"):
         TradingEnv(data, range(0, 4), EnvConfig(lookback=3))
+
+
+def _reference_window(data: Dataset, start: int, t: int, lookback: int) -> np.ndarray:
+    rows = []
+    for k in range(t - lookback, t + 1):
+        i = max(k, start)
+        rows.append(np.concatenate([data.features[i], [data.bids[i], data.asks[i]]]))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("lookback", [0, 1, 3])
+def test_window_tensor_matches_row_by_row_reference(lookback):
+    data = rough_market(60)
+    split = range(7, 31)
+    env = TradingEnv(data, split, EnvConfig(h_max=1.0, lookback=lookback, unit=0.05))
+    assert env.windows.shape == (len(split), lookback + 1, data.n_features + 2)
+    assert env.windows.dtype == np.float64
+    for i, t in enumerate(split):
+        np.testing.assert_array_equal(env.windows[i], _reference_window(data, split.start, t, lookback))
+    assert not env.windows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        env.windows[0, 0, 0] = 1.0
+
+    rng = np.random.default_rng(2)
+    obs = env.reset()
+    done = False
+    while True:
+        i = env.state.t - split.start
+        assert np.shares_memory(obs.window, env.windows)
+        np.testing.assert_array_equal(obs.window, env.windows[i])
+        assert not obs.window.flags.writeable
+        if done:
+            break
+        result = env.step(float(rng.uniform(-1.0, 1.0)))
+        obs, done = result.observation, result.done
+    assert env.state.t == split.stop - 1
 
 
 def test_observation_window_tracks_time():

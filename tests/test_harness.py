@@ -13,6 +13,7 @@ from saclab.data import synthesize_market
 from saclab.harness import (
     ResultRow,
     aggregate_report,
+    evaluate_checkpoint,
     market_return_pct,
     verify_all,
     write_report_csv,
@@ -230,6 +231,16 @@ def test_cli_eval_matches_manifest_and_writes_trace(trained_run, tmp_path, capsy
     lines = trace_path.read_text().strip().split("\n")
     assert lines[0] == "t,action,executed,price,fee,balance,holdings,wealth,reward"
     assert len(lines) == 20  # 19 steps + header
+
+
+def test_evaluate_checkpoint_reproduces_final_validation_return_exactly(trained_run):
+    cfg_path, out = trained_run
+    cfg = load_run_config(cfg_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["runs"]) == 4
+    for run in manifest["runs"]:
+        got = evaluate_checkpoint(cfg, out, run["env_id"], run["trace_kind"], run["seed"], "validation")
+        assert got == run["final_val_return_pct"]
 
 
 def test_cli_eval_missing_checkpoint(trained_run, capsys):
